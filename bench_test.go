@@ -13,11 +13,13 @@
 //	E9 BenchmarkCompressionAblation      — dense vs comb vs row-merged tables
 //	E10 BenchmarkBatchThroughput         — batch service: worker scaling,
 //	                                       cold vs. warm table-module cache
+//	    BenchmarkModuleLoad              — warm load: decode, plan compile
 //
 // Run with: go test -bench=. -benchmem
 package cogg_test
 
 import (
+	"bytes"
 	"fmt"
 	"io/fs"
 	"os"
@@ -590,6 +592,43 @@ func BenchmarkBatchThroughput(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkModuleLoad prices the two halves of a warm table load on the
+// encoded amdahl470 module: decode turns the cached bytes into a
+// tables.Module, and plans compiles the generator's per-production
+// plans from it (codegen.New). A warm daemon start runs each once.
+func BenchmarkModuleLoad(b *testing.B) {
+	cg, err := core.Generate("amdahl470.cogg", specs.Amdahl470)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := cg.Encode(&buf); err != nil {
+		b.Fatal(err)
+	}
+	data := buf.Bytes()
+	b.Run("decode", func(b *testing.B) {
+		b.SetBytes(int64(len(data)))
+		for i := 0; i < b.N; i++ {
+			if _, err := tables.DecodeBytes(data); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("plans", func(b *testing.B) {
+		mod, err := tables.DecodeBytes(data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg := rt370.Config()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := codegen.New(mod, cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // --- helpers -------------------------------------------------------------------

@@ -20,8 +20,8 @@
 //	             build vs. codegen time, queue depth) to standard error
 //	-trace       trace every parser action to stderr (single stream only)
 //	-spans       print each stream's phase-span tree (spec-load,
-//	             table-decode/build, parse-reduce with regalloc/emit
-//	             children) to standard error
+//	             blob.get, tables.decode or table-build, parse-reduce
+//	             with regalloc/emit children) to standard error
 //	-timeout D   per-stream wall-time limit (e.g. 30s); a stream past the
 //	             deadline fails alone while the rest of the batch proceeds
 //	-retries N   retry a stream that failed with a transient (I/O) fault

@@ -22,8 +22,9 @@
 //	-max-errors N  blocked-parse diagnostics collected per program before
 //	             giving up (default 16)
 //	-trace       print each program's phase-span tree (spec-load,
-//	             table-decode/build, frontend, shape, parse-reduce with
-//	             regalloc/emit children, assemble) to standard error
+//	             blob.get, tables.decode or table-build, frontend,
+//	             shape, parse-reduce with regalloc/emit children,
+//	             assemble) to standard error
 //	-S           print the assembly listing
 //	-if          print the linearized intermediate form
 //	-cse         run the IF optimizer (common subexpressions)

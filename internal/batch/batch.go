@@ -180,9 +180,10 @@ func (s *Service) Module(specName, specSrc string) (*tables.Module, error) {
 }
 
 // ModuleCtx is Module with a context: a trace attached via
-// obs.ContextWith records a table-decode span when the module came from
-// the disk tier and a table-build span when the SLR constructor ran (a
-// memory-tier hit records neither — nothing was built).
+// obs.ContextWith records a blob.get span whenever the blob store was
+// consulted, a tables.decode span when the module came from it, and a
+// table-build span when the SLR constructor ran (a memory-tier hit
+// records none — nothing was fetched or built).
 func (s *Service) ModuleCtx(ctx context.Context, specName, specSrc string) (*tables.Module, error) {
 	key := Key(specName, specSrc)
 	if mod, ok := s.mem.get(key); ok {
@@ -215,13 +216,8 @@ func (s *Service) ModuleCtx(ctx context.Context, specName, specSrc string) (*tab
 
 // moduleSlow is the path below the in-memory tier.
 func (s *Service) moduleSlow(ctx context.Context, key, specName, specSrc string) (*tables.Module, error) {
-	tr, parent := obs.FromContext(ctx)
-	t0 := time.Now()
 	mod, ok := s.loadStore(ctx, key)
 	if ok {
-		if tr != nil {
-			tr.AddSpan("table-decode", parent, t0, time.Since(t0))
-		}
 		s.mem.put(key, mod)
 		return mod, nil
 	}

@@ -2,14 +2,17 @@ package batch_test
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"cogg/internal/batch"
 	"cogg/internal/driver"
+	"cogg/internal/obs"
 	"cogg/internal/rt370"
 	"cogg/internal/shaper"
 	"cogg/specs"
@@ -69,6 +72,35 @@ func TestCacheTiers(t *testing.T) {
 	}
 	if v.TableBuild != 0 {
 		t.Errorf("warm start spent %v building tables, want none", v.TableBuild)
+	}
+}
+
+// TestModuleLoadSpans checks the load path's trace: a cold load records
+// the blob read that missed and the table build, a warm load the blob
+// read and the decode as separate spans, and a memory hit records none.
+func TestModuleLoadSpans(t *testing.T) {
+	dir := t.TempDir()
+	spanNames := func(s *batch.Service) []string {
+		t.Helper()
+		tr := obs.NewTrace("", "load")
+		if _, err := s.ModuleCtx(obs.ContextWith(context.Background(), tr, -1), specName, specs.AmdahlMinimal); err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, sp := range tr.Snapshot().Spans {
+			names = append(names, sp.Name)
+		}
+		return names
+	}
+	s1 := batch.New(batch.Options{CacheDir: dir})
+	if got, want := spanNames(s1), []string{"blob.get", "table-build"}; !slices.Equal(got, want) {
+		t.Errorf("cold load spans %q, want %q", got, want)
+	}
+	if got := spanNames(s1); len(got) != 0 {
+		t.Errorf("memory hit spans %q, want none", got)
+	}
+	if got, want := spanNames(batch.New(batch.Options{CacheDir: dir})), []string{"blob.get", "tables.decode"}; !slices.Equal(got, want) {
+		t.Errorf("warm load spans %q, want %q", got, want)
 	}
 }
 

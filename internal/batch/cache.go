@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"cogg/internal/blob"
+	"cogg/internal/obs"
 	"cogg/internal/profiling"
 	"cogg/internal/tables"
 )
@@ -75,12 +76,16 @@ func (c *moduleLRU) put(key string, mod *tables.Module) {
 // verify failure (the backend quarantined the entry) or a decode
 // failure (a payload that is intact bytes but not a module — the entry
 // is deleted) discards the entry and falls back to regeneration rather
-// than surfacing an error.
+// than surfacing an error. The fetched bytes, from disk or from a peer,
+// go straight to the decoder. A trace in ctx gets a blob.get span for
+// the fetch and a tables.decode span for the decode.
 func (s *Service) loadStore(ctx context.Context, key string) (*tables.Module, bool) {
 	if s.store == nil {
 		return nil, false
 	}
-	data, err := s.store.Get(ctx, key)
+	getCtx, endGet := obs.StartSpan(ctx, "blob.get")
+	data, err := s.store.Get(getCtx, key)
+	endGet()
 	if err != nil {
 		var verr *blob.VerifyError
 		if errors.As(err, &verr) {
@@ -90,9 +95,11 @@ func (s *Service) loadStore(ctx context.Context, key string) (*tables.Module, bo
 	}
 	start := time.Now()
 	var mod *tables.Module
+	_, endDecode := obs.StartSpan(ctx, "tables.decode")
 	profiling.Phase("decode", func() {
-		mod, err = tables.Decode(bytes.NewReader(data))
+		mod, err = tables.DecodeBytes(data)
 	})
+	endDecode()
 	if err != nil {
 		s.Stats.DiskBad.Add(1)
 		_ = s.store.Delete(ctx, key)

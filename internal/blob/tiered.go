@@ -37,9 +37,11 @@ func (t *Tiered) Get(ctx context.Context, key string) ([]byte, error) {
 	for i, s := range t.tiers {
 		payload, err := s.Get(ctx, key)
 		if err == nil {
-			// Promote upward so the next Get stops sooner. Promotion
-			// re-verifies nothing: the payload just passed this tier's
-			// read verification.
+			// Promote upward so the next Get stops sooner. The payload
+			// just passed this tier's read verification, so promotion
+			// adds no check of its own; each upper tier's Put still
+			// hashes it again to record the content digest (Mem.Put
+			// re-hashes every promoted payload).
 			for j := 0; j < i; j++ {
 				_ = t.tiers[j].Put(ctx, key, payload)
 			}

@@ -185,8 +185,12 @@ func (g *Generator) compileProd(p *grammar.Prod) prodPlan {
 	// Slots exist for exactly the statically-bound references: tagged RHS
 	// occurrences plus the up-front `using`/`need` allocations. Template
 	// references outside that set could never acquire a value and keep
-	// the unboundSlot marker.
-	slotOf := map[grammar.Ref]int32{}
+	// the unboundSlot marker. Every slot array is sized once for the
+	// most slots the production can bind.
+	maxSlots := len(p.RHS) + len(p.Uses) + len(p.Needs)
+	slotOf := make(map[grammar.Ref]int32, maxSlots)
+	pl.slotRef = make([]grammar.Ref, 0, maxSlots)
+	pl.tail.SlotClass = make([]string, 0, maxSlots)
 	addSlot := func(ref grammar.Ref) int32 {
 		if s, ok := slotOf[ref]; ok {
 			return s
@@ -207,11 +211,13 @@ func (g *Generator) compileProd(p *grammar.Prod) prodPlan {
 			pl.rhsSlot[i] = addSlot(grammar.Ref{Sym: sym, Tag: tag})
 		}
 	}
-	for _, ref := range p.Uses {
-		pl.uses = append(pl.uses, allocStep{slot: addSlot(ref), ref: ref, class: g.classOf(ref.Sym)})
+	pl.uses = make([]allocStep, len(p.Uses))
+	for i, ref := range p.Uses {
+		pl.uses[i] = allocStep{slot: addSlot(ref), ref: ref, class: g.classOf(ref.Sym)}
 	}
-	for _, ref := range p.Needs {
-		pl.needs = append(pl.needs, allocStep{slot: addSlot(ref), ref: ref, class: g.classOf(ref.Sym)})
+	pl.needs = make([]allocStep, len(p.Needs))
+	for i, ref := range p.Needs {
+		pl.needs[i] = allocStep{slot: addSlot(ref), ref: ref, class: g.classOf(ref.Sym)}
 	}
 	pl.nslots = len(pl.slotRef)
 
@@ -247,9 +253,13 @@ func (g *Generator) compileProd(p *grammar.Prod) prodPlan {
 		return opdPlan{shape: opdBad, nsub: len(o.Sub)}
 	}
 
+	pl.steps = make([]tmplStep, 0, len(p.Templates))
 	for ti := range p.Templates {
 		t := &p.Templates[ti]
 		st := tmplStep{t: t, tix: ti, name: gr.SymName(t.Op)}
+		st.opds = make([]opdPlan, 0, len(t.Operands))
+		st.refs = make([]refPlan, 0, len(t.Operands))
+		st.vals = make([]valPlan, 0, len(t.Operands))
 		if t.Semantic {
 			st.op = semanticOps[st.name] // membership validated by New
 		} else {

@@ -81,19 +81,29 @@ func EncodeModule(w io.Writer, m *Module) (SectionSizes, error) {
 	return sizes, err
 }
 
-// Decode reads a module serialized by Encode. Beyond parsing, the
-// decoded module is validated for internal consistency — every index
-// the code generator will follow blindly at translation time (symbol
-// references, action targets, check entries) must be in range — so a
-// corrupt or adversarial byte stream yields an error, never a panic in
-// the driver.
+// Decode reads a module serialized by Encode from r. It reads the whole
+// stream and hands the bytes to DecodeBytes, the one decoder.
 func Decode(r io.Reader) (*Module, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("tables: decode: %w", err)
+	}
+	return DecodeBytes(data)
+}
+
+// DecodeBytes decodes a module serialized by Encode. Beyond parsing,
+// the decoded module is validated for internal consistency — every
+// index the code generator will follow blindly at translation time
+// (symbol references, action targets, check entries) must be in range —
+// so a corrupt or adversarial byte stream yields an error, never a panic
+// in the driver. The module shares no memory with data.
+func DecodeBytes(data []byte) (*Module, error) {
 	if err := faultinject.Eval("tables/decode", ""); err != nil {
 		return nil, fmt.Errorf("tables: decode: %w", err)
 	}
-	d := &decoder{r: r}
+	d := &decoder{buf: data}
 	var got [8]byte
-	d.bytes(got[:])
+	copy(got[:], d.take(len(got)))
 	if d.err == nil && got != magic {
 		return nil, fmt.Errorf("tables: bad magic %q", got[:])
 	}
@@ -121,39 +131,39 @@ func (m *Module) validate() error {
 	if g.Lambda < 0 || g.Lambda >= nsym {
 		return fmt.Errorf("lambda symbol %d out of range (%d symbols)", g.Lambda, nsym)
 	}
-	checkSym := func(what string, id int) error {
+	// The production label is formatted only when a check fails.
+	checkSym := func(prod, id int) error {
 		if id < 0 || id >= nsym {
-			return fmt.Errorf("%s references symbol %d (have %d)", what, id, nsym)
+			return fmt.Errorf("production %d references symbol %d (have %d)", prod, id, nsym)
 		}
 		return nil
 	}
 	for i, prod := range g.Prods {
-		what := fmt.Sprintf("production %d", i)
-		if err := checkSym(what, prod.LHS); err != nil {
+		if err := checkSym(i, prod.LHS); err != nil {
 			return err
 		}
 		for _, s := range prod.RHS {
-			if err := checkSym(what, s); err != nil {
+			if err := checkSym(i, s); err != nil {
 				return err
 			}
 		}
 		for _, u := range prod.Uses {
-			if err := checkSym(what, u.Sym); err != nil {
+			if err := checkSym(i, u.Sym); err != nil {
 				return err
 			}
 		}
 		for _, u := range prod.Needs {
-			if err := checkSym(what, u.Sym); err != nil {
+			if err := checkSym(i, u.Sym); err != nil {
 				return err
 			}
 		}
 		for _, t := range prod.Templates {
 			for _, o := range t.Operands {
-				if err := checkSym(what, o.Base.Sym); err != nil {
+				if err := checkSym(i, o.Base.Sym); err != nil {
 					return err
 				}
 				for _, s := range o.Sub {
-					if err := checkSym(what, s.Sym); err != nil {
+					if err := checkSym(i, s.Sym); err != nil {
 						return err
 					}
 				}
@@ -327,34 +337,61 @@ func encodePacked(buf *bytes.Buffer, p *Packed) error {
 
 // --- decoding helpers -------------------------------------------------
 
+// Minimum encoded sizes, in bytes, of the records a count can claim. A
+// count is refused unless the bytes left could hold that many of the
+// smallest record, so nothing is ever sized beyond a small multiple of
+// the input.
+const (
+	symBytes     = 4 + 4 + 8     // name length, kind, value
+	prodBytes    = 7 * 4         // num, lhs, tag, and four counts
+	pairBytes    = 4 + 4         // RHS symbol+tag, or a register ref
+	tmplBytes    = 3 * 4         // op, semantic flag, operand count
+	argBytes     = 4 + 4 + 4 + 8 // flag, symbol, tag, number
+	operandBytes = argBytes + 4  // base atom and sub count
+)
+
+// decoder reads the serialized module from a byte slice. buf is the
+// unread remainder; the first error sticks and every later read returns
+// zero values.
 type decoder struct {
-	r   io.Reader
+	buf []byte
 	err error
 }
 
-func (d *decoder) bytes(b []byte) {
+// take consumes the next n bytes, or sets the error the stream's end
+// would give a full read: io.EOF with nothing left, io.ErrUnexpectedEOF
+// when part of the record is there.
+func (d *decoder) take(n int) []byte {
 	if d.err != nil {
-		return
+		return nil
 	}
-	_, d.err = io.ReadFull(d.r, b)
-}
-
-func (d *decoder) u16() uint16 {
-	var b [2]byte
-	d.bytes(b[:])
-	return binary.LittleEndian.Uint16(b[:])
+	if len(d.buf) < n {
+		d.err = io.ErrUnexpectedEOF
+		if len(d.buf) == 0 {
+			d.err = io.EOF
+		}
+		d.buf = nil
+		return nil
+	}
+	b := d.buf[:n]
+	d.buf = d.buf[n:]
+	return b
 }
 
 func (d *decoder) u32() int {
-	var b [4]byte
-	d.bytes(b[:])
-	return int(int32(binary.LittleEndian.Uint32(b[:])))
+	b := d.take(4)
+	if b == nil {
+		return 0
+	}
+	return int(int32(binary.LittleEndian.Uint32(b)))
 }
 
 func (d *decoder) i64() int64 {
-	var b [8]byte
-	d.bytes(b[:])
-	return int64(binary.LittleEndian.Uint64(b[:]))
+	b := d.take(8)
+	if b == nil {
+		return 0
+	}
+	return int64(binary.LittleEndian.Uint64(b))
 }
 
 func (d *decoder) str() string {
@@ -365,25 +402,49 @@ func (d *decoder) str() string {
 		}
 		return ""
 	}
-	b := make([]byte, n)
-	d.bytes(b)
-	return string(b)
+	return string(d.take(n))
 }
 
-func (d *decoder) count(limit int) int {
+// count reads an element count, bounded first by limit and then by the
+// bytes left, given that each element takes at least size bytes.
+func (d *decoder) count(limit, size int) int {
 	n := d.u32()
-	if d.err == nil && (n < 0 || n > limit) {
+	if d.err != nil {
+		return 0
+	}
+	if n < 0 || n > limit {
 		d.err = fmt.Errorf("count %d out of range (limit %d)", n, limit)
 		return 0
 	}
+	if need := n * size; need > len(d.buf) {
+		d.err = fmt.Errorf("count %d needs %d bytes, %d left: %w", n, need, len(d.buf), io.ErrUnexpectedEOF)
+		return 0
+	}
 	return n
+}
+
+// array reads a counted array of fixed-width elements as one slice of
+// raw bytes, or nil after an error.
+func (d *decoder) array(width int) (n int, raw []byte) {
+	n = d.count(1<<24, width)
+	return n, d.take(n * width)
+}
+
+// sized returns a slice of length n, or nil for n == 0, so an empty
+// list costs no allocation and decodes as the nil slice it was built as.
+func sized[T any](n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return make([]T, n)
 }
 
 func decodeSymbols(d *decoder) *grammar.Grammar {
 	g := &grammar.Grammar{}
 	g.Name = d.str()
 	g.Lambda = d.u32()
-	n := d.count(1 << 20)
+	n := d.count(1<<20, symBytes)
+	g.Syms = make([]grammar.Symbol, 0, n)
 	for i := 0; i < n; i++ {
 		name := d.str()
 		kind := grammar.Kind(d.u32())
@@ -405,69 +466,78 @@ func decodeArg(d *decoder) grammar.Arg {
 	return a
 }
 
+func decodeRefs(d *decoder) []grammar.Ref {
+	refs := sized[grammar.Ref](d.count(1<<10, pairBytes))
+	for j := range refs {
+		refs[j] = grammar.Ref{Sym: d.u32(), Tag: d.u32()}
+	}
+	return refs
+}
+
 func decodeProds(d *decoder, g *grammar.Grammar) {
-	n := d.count(1 << 20)
+	n := d.count(1<<20, prodBytes)
+	// One block holds every production; g.Prods points into it.
+	prods := make([]grammar.Prod, n)
+	g.Prods = make([]*grammar.Prod, 0, n)
 	for i := 0; i < n && d.err == nil; i++ {
-		p := &grammar.Prod{}
+		p := &prods[i]
 		p.Num = d.u32()
 		p.LHS = d.u32()
 		p.LHSTag = d.u32() - 1
-		rhsLen := d.count(1 << 10)
+		rhsLen := d.count(1<<10, pairBytes)
+		p.RHS = sized[int](rhsLen)
+		p.RHSTags = sized[int](rhsLen)
 		for j := 0; j < rhsLen; j++ {
-			p.RHS = append(p.RHS, d.u32())
-			p.RHSTags = append(p.RHSTags, d.u32()-1)
+			p.RHS[j] = d.u32()
+			p.RHSTags[j] = d.u32() - 1
 		}
-		uses := d.count(1 << 10)
-		for j := 0; j < uses; j++ {
-			p.Uses = append(p.Uses, grammar.Ref{Sym: d.u32(), Tag: d.u32()})
-		}
-		needs := d.count(1 << 10)
-		for j := 0; j < needs; j++ {
-			p.Needs = append(p.Needs, grammar.Ref{Sym: d.u32(), Tag: d.u32()})
-		}
-		tmpls := d.count(1 << 10)
-		for j := 0; j < tmpls; j++ {
-			var t grammar.Template
+		p.Uses = decodeRefs(d)
+		p.Needs = decodeRefs(d)
+		p.Templates = sized[grammar.Template](d.count(1<<10, tmplBytes))
+		for j := range p.Templates {
+			t := &p.Templates[j]
 			t.Op = d.u32()
 			t.Semantic = d.u32() == 1
-			operands := d.count(1 << 10)
-			for k := 0; k < operands; k++ {
-				var o grammar.Operand
+			t.Operands = sized[grammar.Operand](d.count(1<<10, operandBytes))
+			for k := range t.Operands {
+				o := &t.Operands[k]
 				o.Base = decodeArg(d)
-				subs := d.count(2)
-				for m := 0; m < subs; m++ {
-					o.Sub = append(o.Sub, decodeArg(d))
+				o.Sub = sized[grammar.Arg](d.count(2, argBytes))
+				for m := range o.Sub {
+					o.Sub[m] = decodeArg(d)
 				}
-				t.Operands = append(t.Operands, o)
 			}
-			p.Templates = append(p.Templates, t)
 		}
 		g.Prods = append(g.Prods, p)
 	}
 }
 
 func decodePacked(d *decoder) *Packed {
-	// Every loop bails on the first read error: a truncated stream
-	// claiming 2^24 entries must not spin through millions of zero
-	// reads before the error surfaces.
+	// Every count is checked against the bytes left before its array is
+	// made: a truncated stream claiming 2^24 entries fails without
+	// allocating for them.
 	p := &Packed{}
 	p.NumStates = d.u32()
 	p.NumCols = d.u32()
-	n := d.count(1 << 24)
-	for i := 0; i < n && d.err == nil; i++ {
-		p.ColOf = append(p.ColOf, int32(int16(d.u16())))
+	n, raw := d.array(2)
+	p.ColOf = sized[int32](n)
+	for i := range p.ColOf {
+		p.ColOf[i] = int32(int16(binary.LittleEndian.Uint16(raw[2*i:])))
 	}
-	n = d.count(1 << 24)
-	for i := 0; i < n && d.err == nil; i++ {
-		p.Base = append(p.Base, int32(d.u32()))
+	n, raw = d.array(4)
+	p.Base = sized[int32](n)
+	for i := range p.Base {
+		p.Base[i] = int32(binary.LittleEndian.Uint32(raw[4*i:]))
 	}
-	n = d.count(1 << 24)
-	for i := 0; i < n && d.err == nil; i++ {
-		p.Data = append(p.Data, lr.Unpack16(d.u16()))
+	n, raw = d.array(2)
+	p.Data = sized[lr.Action](n)
+	for i := range p.Data {
+		p.Data[i] = lr.Unpack16(binary.LittleEndian.Uint16(raw[2*i:]))
 	}
-	n = d.count(1 << 24)
-	for i := 0; i < n && d.err == nil; i++ {
-		p.Check = append(p.Check, int32(d.u16()))
+	n, raw = d.array(2)
+	p.Check = sized[int32](n)
+	for i := range p.Check {
+		p.Check[i] = int32(binary.LittleEndian.Uint16(raw[2*i:]))
 	}
 	return p
 }
